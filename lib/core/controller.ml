@@ -13,7 +13,7 @@ let primary_for routes choice (call : Trace.call) =
     if Route_table.has_route routes ~src ~dst then
       Some (Route_table.primary routes ~src ~dst)
     else None
-  | Sampled f -> f ~src ~dst ~u:call.Trace.u
+  | Sampled f -> f ~src ~dst ~u:(Trace.u call)
 
 (* ------------------------------------------------------------------ *)
 (* compiled decision tables: the allocation-free fast path for the
@@ -97,7 +97,7 @@ let decide ?observer ~routes ~admission ~choice ~allow_alternates ~occupancy
     | Some f ->
       f
         (Arnet_obs.Event.Primary_attempt
-           { time = call.Trace.time;
+           { time = Trace.time call;
              src = call.Trace.src;
              dst = call.Trace.dst;
              hops = Path.hops primary;
@@ -128,7 +128,7 @@ let decide ?observer ~routes ~admission ~choice ~allow_alternates ~occupancy
             | Some (link, occ, threshold) ->
               f
                 (Arnet_obs.Event.Alternate_rejected
-                   { time = call.Trace.time;
+                   { time = Trace.time call;
                      src;
                      dst;
                      hops = Path.hops p;

@@ -130,7 +130,7 @@ let controlled_adaptive ?(choice = Controller.Table) ?observer ?h ?window
   let next_refresh = ref refresh in
   let admission = ref (Admission.make ~capacities ~reserves) in
   let decide ~occupancy ~call =
-    let now = call.Trace.time in
+    let now = Trace.time call in
     (* every primary set-up packet is seen by every link on the primary
        path, whether or not the call completes *)
     (match Controller.primary_for routes choice call with
@@ -187,7 +187,7 @@ let ott_krishnan ?(revenue = 1.) ?(reduced_load = false) ~matrix routes =
       (fun acc k -> acc +. link_price ~occupancy k)
       0. p.Path.link_ids
   in
-  let decide ~occupancy ~call =
+  let decide ~occupancy ~(call : Trace.call) =
     let src = call.Trace.src and dst = call.Trace.dst in
     if not (Route_table.has_route routes ~src ~dst) then Engine.Lost
     else begin
@@ -220,7 +220,7 @@ let least_busy ?reserves routes =
     | None -> Admission.unprotected ~capacities
     | Some reserves -> Admission.make ~capacities ~reserves
   in
-  let decide ~occupancy ~call =
+  let decide ~occupancy ~(call : Trace.call) =
     let src = call.Trace.src and dst = call.Trace.dst in
     if not (Route_table.has_route routes ~src ~dst) then Engine.Lost
     else begin

@@ -21,7 +21,7 @@ let path_alive alive (p : Path.t) =
   ok 0
 
 let run ?(warmup = 10.) ?(script = Script.empty) ~graph ~policy trace =
-  let { Trace.calls; ends; duration; matrix; _ } = trace in
+  let { Trace.times; ends; duration; matrix; _ } = trace in
   if warmup < 0. || warmup >= duration then
     invalid_arg "Failure_engine.run: warmup must be in [0, duration)";
   if Arnet_traffic.Matrix.nodes matrix <> Graph.node_count graph then
@@ -79,10 +79,12 @@ let run ?(warmup = 10.) ?(script = Script.empty) ~graph ~policy trace =
           victims
       end
   in
-  (* departures and script events due at or before [t] merge in time
-     order; at equal instants the departure goes first (a call ending
-     the instant its link dies is complete, not dropped) *)
-  let rec advance t =
+  (* departures and script events due at or before arrival [i]'s
+     instant merge in time order; at equal instants the departure goes
+     first (a call ending the instant its link dies is complete, not
+     dropped) *)
+  let rec advance i =
+    let t = times.(i) in
     let dep =
       match Event_queue.peek_time departures with
       | Some u when u <= t -> u
@@ -98,25 +100,27 @@ let run ?(warmup = 10.) ?(script = Script.empty) ~graph ~policy trace =
       (match Event_queue.pop departures with
       | Some (_, idx) -> depart idx
       | None -> ());
-      advance t
+      advance i
     end
     else begin
       apply_event events.(!cursor);
       incr cursor;
-      advance t
+      advance i
     end
   in
-  let handle i (call : Trace.call) =
-    advance call.Trace.time;
-    let measured = call.Trace.time >= warmup in
-    if measured then
-      Stats.record_offered stats ~src:call.Trace.src ~dst:call.Trace.dst;
+  (* one cursor per run, moved to each arrival by [Trace.seek] *)
+  let call = Trace.cursor trace in
+  let handle i =
+    Trace.seek call i;
+    let src = call.Trace.src and dst = call.Trace.dst in
+    advance i;
+    let measured = times.(i) >= warmup in
+    if measured then Stats.record_offered stats ~src ~dst;
     match policy.decide ~occupancy ~alive ~call with
     | Engine.Lost ->
-      if measured then
-        Stats.record_blocked stats ~src:call.Trace.src ~dst:call.Trace.dst
+      if measured then Stats.record_blocked stats ~src ~dst
     | Engine.Routed p ->
-      if Path.src p <> call.Trace.src || Path.dst p <> call.Trace.dst then
+      if Path.src p <> src || Path.dst p <> dst then
         invalid_arg "Failure_engine.run: policy routed to wrong endpoints";
       let ids = p.Path.link_ids in
       for j = 0 to Array.length ids - 1 do
@@ -143,8 +147,8 @@ let run ?(warmup = 10.) ?(script = Script.empty) ~graph ~policy trace =
           | _ -> ()
         end
   in
-  for i = 0 to Array.length calls - 1 do
-    handle i (Array.unsafe_get calls i)
+  for i = 0 to Trace.call_count trace - 1 do
+    handle i
   done;
   { core = stats; dropped = !dropped; failovers = !failovers }
 

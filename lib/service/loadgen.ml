@@ -21,15 +21,15 @@ let latency_bounds =
 
 (* enough virtual time to cover [calls] arrivals at the matrix's
    aggregate rate; regenerated (same seed, fresh stream) with a doubled
-   window in the rare case the Poisson draw came up short *)
+   window in the rare case the Poisson draw came up short.  The
+   workload is the trace's first [calls] indices. *)
 let generate_calls ~seed ~calls matrix =
   let total = Matrix.total matrix in
   if total <= 0. then invalid_arg "Loadgen.run: matrix offers no traffic";
   let rec attempt duration =
     let rng = Rng.create ~seed in
     let trace = Trace.generate ~rng ~duration matrix in
-    if Trace.call_count trace >= calls then
-      Array.sub trace.Trace.calls 0 calls
+    if Trace.call_count trace >= calls then trace
     else attempt (2. *. duration)
   in
   attempt ((float_of_int calls /. total *. 1.2) +. 1.)
@@ -56,7 +56,9 @@ let inflight_enter fl k =
 
 let inflight_exit fl k = ignore (Atomic.fetch_and_add fl.cur (-k) : int)
 
-let drive ~timestamps ~retry_for ~inflight ~addr (calls : Trace.call array) =
+(* [calls] are indices into [trace], replayed in the given order *)
+let drive ~timestamps ~retry_for ~inflight ~addr ~(trace : Trace.t) calls =
+  let { Trace.times; srcs; dsts; ends; _ } = trace in
   let registry = Arnet_obs.Metrics.create () in
   let acc =
     { c_accepted = 0;
@@ -89,27 +91,24 @@ let drive ~timestamps ~retry_for ~inflight ~addr (calls : Trace.call array) =
         | _ -> acc.c_errors <- acc.c_errors + 1);
         acc.c_teardowns <- acc.c_teardowns + 1
       in
-      let setup (call : Trace.call) =
-        let time = if timestamps then Some call.Trace.time else None in
+      let setup i =
+        let time = if timestamps then Some times.(i) else None in
         match
-          timed_request
-            (Wire.Setup { src = call.Trace.src; dst = call.Trace.dst; time })
+          timed_request (Wire.Setup { src = srcs.(i); dst = dsts.(i); time })
         with
         | Wire.Admitted { id; _ } ->
           acc.c_accepted <- acc.c_accepted + 1;
-          Event_queue.push departures
-            ~time:(call.Trace.time +. call.Trace.holding)
-            id
+          Event_queue.push_at departures ~times:ends i id
         | Wire.Blocked -> acc.c_blocked <- acc.c_blocked + 1
         | _ -> acc.c_errors <- acc.c_errors + 1
       in
       Array.iter
-        (fun (call : Trace.call) ->
+        (fun i ->
           (* engine order: departures at or before the arrival instant
              release their circuits first *)
-          Event_queue.pop_until departures ~time:call.Trace.time
+          Event_queue.pop_until departures ~time:times.(i)
             ~f:(fun _ id -> teardown id);
-          setup call)
+          setup i)
         calls;
       let rec flush_departures () =
         match Event_queue.pop departures with
@@ -148,7 +147,8 @@ let read_reply_frame ic =
    an earlier frame than) its own setup; each request's recorded
    latency is its batch's round-trip time *)
 let drive_binary ~timestamps ~retry_for ~batch ~inflight ~addr
-    (calls : Trace.call array) =
+    ~(trace : Trace.t) calls =
+  let { Trace.times; srcs; dsts; ends; _ } = trace in
   let registry = Arnet_obs.Metrics.create () in
   let acc =
     { c_accepted = 0;
@@ -171,8 +171,8 @@ let drive_binary ~timestamps ~retry_for ~batch ~inflight ~addr
           ("Loadgen: HELLO binary refused: " ^ Wire.print_response resp));
       let departures = Event_queue.create () in
       (* pending batch, newest first, with the metadata the verdict
-         needs: the originating call for a SETUP, nothing for a
-         TEARDOWN *)
+         needs: the originating call's index for a SETUP, nothing for
+         a TEARDOWN *)
       let pending = ref [] in
       let pending_n = ref 0 in
       let flush_batch () =
@@ -196,11 +196,9 @@ let drive_binary ~timestamps ~retry_for ~batch ~inflight ~addr
             (fun (_, meta) resp ->
               Arnet_obs.Metrics.observe acc.histogram rtt;
               match (meta, resp) with
-              | Some (call : Trace.call), Wire.Admitted { id; _ } ->
+              | Some i, Wire.Admitted { id; _ } ->
                 acc.c_accepted <- acc.c_accepted + 1;
-                Event_queue.push departures
-                  ~time:(call.Trace.time +. call.Trace.holding)
-                  id
+                Event_queue.push_at departures ~times:ends i id
               | Some _, Wire.Blocked -> acc.c_blocked <- acc.c_blocked + 1
               | Some _, _ -> acc.c_errors <- acc.c_errors + 1
               | None, Wire.Done -> acc.c_teardowns <- acc.c_teardowns + 1
@@ -228,12 +226,12 @@ let drive_binary ~timestamps ~retry_for ~batch ~inflight ~addr
           release time
       in
       Array.iter
-        (fun (call : Trace.call) ->
-          release call.Trace.time;
-          let time = if timestamps then Some call.Trace.time else None in
+        (fun i ->
+          release times.(i);
+          let time = if timestamps then Some times.(i) else None in
           push_cmd
-            (Wire.Setup { src = call.Trace.src; dst = call.Trace.dst; time })
-            (Some call))
+            (Wire.Setup { src = srcs.(i); dst = dsts.(i); time })
+            (Some i))
         calls;
       flush_batch ();
       let rec drain () =
@@ -256,22 +254,18 @@ let run ?(connections = 1) ?(timestamps = true) ?(retry_for = 5.)
       (Printf.sprintf "Loadgen.run: batch outside 1..%d" Bwire.max_batch);
   if batch > 1 && not binary then
     invalid_arg "Loadgen.run: batch > 1 needs binary:true";
-  let workload = generate_calls ~seed ~calls matrix in
+  let trace = generate_calls ~seed ~calls matrix in
   let inflight = { cur = Atomic.make 0; peak = Atomic.make 0 } in
   let drive_one shard =
     if binary then
-      drive_binary ~timestamps ~retry_for ~batch ~inflight ~addr shard
-    else drive ~timestamps ~retry_for ~inflight ~addr shard
+      drive_binary ~timestamps ~retry_for ~batch ~inflight ~addr ~trace shard
+    else drive ~timestamps ~retry_for ~inflight ~addr ~trace shard
   in
   let shards =
-    if connections = 1 then [ workload ]
-    else
-      List.init connections (fun c ->
-          Array.of_seq
-            (Seq.filter_map
-               (fun i -> if i mod connections = c then Some workload.(i) else None)
-               (Seq.init calls Fun.id)))
-      |> List.filter (fun shard -> Array.length shard > 0)
+    List.init connections (fun c ->
+        Array.of_seq
+          (Seq.filter (fun i -> i mod connections = c) (Seq.init calls Fun.id)))
+    |> List.filter (fun shard -> Array.length shard > 0)
   in
   let t0 = Unix.gettimeofday () in
   let results =

@@ -148,6 +148,20 @@ let bind_listener addr =
      raise e);
   (listener, cleanup)
 
+(* Accept one command connection.  Replies are small writes the client
+   waits on, and Nagle's algorithm would hold each one back until the
+   previous segment is acknowledged (a delayed ACK away), so TCP peers
+   get TCP_NODELAY.  Unix-domain peers have no Nagle to turn off.  The
+   option is best effort: a peer that already hung up is found by the
+   first read. *)
+let accept_command listener =
+  let fd, peer = Unix.accept listener in
+  (match peer with
+  | Unix.ADDR_INET _ -> (
+    try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ())
+  | Unix.ADDR_UNIX _ -> ());
+  fd
+
 (* a complete HTTP request head: headers (if any) ended by a blank line *)
 let head_complete data =
   let n = String.length data in
@@ -507,8 +521,7 @@ let serve_single ~metrics ~telemetry ~logger ~snapshot ~on_listen ~tap ~state
     conn_pump ~conns ~handle_http ~handle_line ~handle_batch ~reject_too_long
       ~binary_fatal ~close_conn ~chunk
   in
-  let accept_from listener proto =
-    let conn_fd, _ = Unix.accept listener in
+  let adopt conn_fd proto =
     Hashtbl.replace conns conn_fd
       { fd = conn_fd; buf = Buffer.create 256; proto }
   in
@@ -525,8 +538,9 @@ let serve_single ~metrics ~telemetry ~logger ~snapshot ~on_listen ~tap ~state
       | readable, _, _ ->
         List.iter
           (fun fd ->
-            if fd = listener then accept_from listener Command
-            else if telemetry_fd = Some fd then accept_from fd Http
+            if fd = listener then adopt (accept_command listener) Command
+            else if telemetry_fd = Some fd then
+              adopt (fst (Unix.accept fd)) Http
             else
               match Hashtbl.find_opt conns fd with
               | Some c -> handle_readable c
@@ -550,12 +564,14 @@ let serve_single ~metrics ~telemetry ~logger ~snapshot ~on_listen ~tap ~state
 (* the sharded loops: domain 0 (the calling domain) is the dispatcher —
    it accepts, deals connections round-robin to D spawned worker
    domains, and serves telemetry — while each worker runs its own
-   select loop over its own connections, doing all reads, parsing,
-   framing and writes in parallel.  Only the decision itself is
-   serialized, under one mutex, batch-at-a-time: admissions stay a
-   total order (the paper's call-by-call semantics, and what makes the
-   merged-order replay test meaningful) while the syscall work — the
-   measured bottleneck — shards.  Unix-domain listeners get nothing
+   select loop over its own connections.  Reads, binary frame decoding,
+   reply printing/encoding and writes run in parallel across workers.
+   Everything [command_handler] does per line or batch runs under one
+   mutex, batch-at-a-time: the decision, and with it the text-line
+   parse ([Wire.parse_command]), the metrics recording and the tap.  So
+   admissions stay a total order (the paper's call-by-call semantics,
+   and what makes the merged-order replay test meaningful) while the
+   syscall work — the measured bottleneck — shards.  Unix-domain listeners get nothing
    from SO_REUSEPORT, so one dispatcher covers both address families. *)
 
 type worker_slot = {
@@ -703,10 +719,7 @@ let serve_sharded ~domains ~metrics ~telemetry ~logger ~snapshot ~on_listen
         List.iter
           (fun fd ->
             if fd = stop_r then drain_pipe stop_r
-            else if fd = listener then begin
-              let conn_fd, _ = Unix.accept listener in
-              deal conn_fd
-            end
+            else if fd = listener then deal (accept_command listener)
             else if telemetry_fd = Some fd then begin
               let conn_fd, _ = Unix.accept fd in
               Hashtbl.replace http_conns conn_fd

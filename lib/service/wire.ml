@@ -156,14 +156,17 @@ let parse_command_general line =
     | _ -> Error ("bad-command", Printf.sprintf "unknown command %S" verb))
 
 (* Fast path for the two verbs the load path is made of.  The general
-   parser above allocates a token list per line; this scanner walks the
-   string with integer indices only, so a well-formed SETUP/TEARDOWN
-   costs no tokenization garbage (a timed SETUP keeps one substring for
-   the float conversion).  Any deviation from the strict shape —
-   unexpected verb, sign/hex/underscore integer forms, tabs, trailing
-   tokens, > 18 digits — falls back to the general parser, which keeps
-   the two byte-for-byte equivalent (the qcheck property in
-   test/test_service.ml). *)
+   parser above splits each line into a token list; this scanner walks
+   the string with integer indices instead, so a well-formed
+   SETUP/TEARDOWN builds no token list.  It is not allocation-free: the
+   local scanners below are closures over [line], allocated on every
+   call, the result is a fresh [Ok] command, and a timed SETUP keeps one
+   substring for the float conversion — about 40 minor words a command
+   (60 for a timed SETUP) on a 64-bit build.  Any deviation from the
+   strict shape — unexpected verb, sign/hex/underscore integer forms,
+   tabs, trailing tokens, > 18 digits — falls back to the general
+   parser, which keeps the two byte-for-byte equivalent (the qcheck
+   property in test/test_service.ml). *)
 exception Slow
 
 let parse_command line =

@@ -32,7 +32,8 @@ let () =
    the run's occupancy/capacity arrays) and recurse with int arguments
    only, so the admit/release hot path allocates nothing *)
 let run ?(warmup = 10.) ?observer ~graph ~policy trace =
-  let { Trace.calls; times; ends; duration; matrix; _ } = trace in
+  let { Trace.times; holdings; ends; duration; matrix; _ } = trace in
+  let n = Trace.call_count trace in
   if warmup < 0. || warmup >= duration then
     invalid_arg "Engine.run: warmup must be in [0, duration)";
   if Arnet_traffic.Matrix.nodes matrix <> Graph.node_count graph then
@@ -42,7 +43,7 @@ let run ?(warmup = 10.) ?observer ~graph ~policy trace =
   Graph.iter_links
     (fun l -> capacity.(l.Link.id) <- l.Link.capacity)
     graph;
-  ignore (Atomic.fetch_and_add simulated_calls (Array.length calls) : int);
+  ignore (Atomic.fetch_and_add simulated_calls n : int);
   let occupancy = Array.make m 0 in
   let departures : int array Event_queue.t = Event_queue.create () in
   let stats = Stats.empty ~nodes:(Graph.node_count graph) in
@@ -88,40 +89,36 @@ let run ?(warmup = 10.) ?observer ~graph ~policy trace =
     occupy p.Path.link_ids 0;
     Event_queue.push_at departures ~times:ends i p.Path.link_ids
   in
-  let handle i (call : Trace.call) =
+  (* one cursor for the whole run: [Trace.seek] moves it to each
+     arrival, and every read below goes to the packed columns, so the
+     per-call path neither allocates nor boxes *)
+  let call = Trace.cursor trace in
+  let handle i =
+    Trace.seek call i;
+    let src = call.Trace.src and dst = call.Trace.dst in
     (match observer with
     | None ->
       while Event_queue.next_due departures ~deadlines:times i do
         release_ids (Event_queue.pop_payload departures) 0
       done
     | Some _ ->
-      Event_queue.pop_until departures ~time:call.Trace.time ~f:release);
-    let measured = call.Trace.time >= warmup in
+      Event_queue.pop_until departures ~time:times.(i) ~f:release);
+    let measured = times.(i) >= warmup in
     (match observer with
     | Some f ->
       f
         (Arnet_obs.Event.Arrival
-           { time = call.Trace.time;
-             src = call.Trace.src;
-             dst = call.Trace.dst;
-             holding = call.Trace.holding })
+           { time = times.(i); src; dst; holding = holdings.(i) })
     | None -> ());
-    if measured then
-      Stats.record_offered stats ~src:call.Trace.src ~dst:call.Trace.dst;
+    if measured then Stats.record_offered stats ~src ~dst;
     match policy.decide ~occupancy ~call with
     | Lost ->
       (match observer with
-      | Some f ->
-        f
-          (Arnet_obs.Event.Block
-             { time = call.Trace.time;
-               src = call.Trace.src;
-               dst = call.Trace.dst })
+      | Some f -> f (Arnet_obs.Event.Block { time = times.(i); src; dst })
       | None -> ());
-      if measured then
-        Stats.record_blocked stats ~src:call.Trace.src ~dst:call.Trace.dst
+      if measured then Stats.record_blocked stats ~src ~dst
     | Routed p ->
-      if Path.src p <> call.Trace.src || Path.dst p <> call.Trace.dst then
+      if Path.src p <> src || Path.dst p <> dst then
         invalid_arg "Engine.run: policy routed to wrong endpoints";
       admit i p;
       if measured || Option.is_some observer then begin
@@ -130,9 +127,9 @@ let run ?(warmup = 10.) ?observer ~graph ~policy trace =
         | Some f ->
           f
             (Arnet_obs.Event.Admit
-               { time = call.Trace.time;
-                 src = call.Trace.src;
-                 dst = call.Trace.dst;
+               { time = times.(i);
+                 src;
+                 dst;
                  hops = Path.hops p;
                  primary;
                  links = p.Path.link_ids })
@@ -142,14 +139,14 @@ let run ?(warmup = 10.) ?observer ~graph ~policy trace =
           else Stats.record_alternate stats ~hops:(Path.hops p)
       end
   in
-  for i = 0 to Array.length calls - 1 do
-    handle i (Array.unsafe_get calls i)
+  for i = 0 to n - 1 do
+    handle i
   done;
   (match observer with
   | Some f ->
     (* drain departures that fall inside the run so the trace balances *)
     Event_queue.pop_until departures ~time:duration ~f:release;
-    f (Arnet_obs.Event.Run_end { time = duration; calls = Array.length calls })
+    f (Arnet_obs.Event.Run_end { time = duration; calls = n })
   | None -> ());
   stats
 

@@ -53,11 +53,11 @@ let observe t ~occupancy ~(call : Trace.call) ~primary outcome =
       t.occupancy_sum.(k) <- t.occupancy_sum.(k) +. float_of_int occ;
       if occ > t.peak.(k) then t.peak.(k) <- occ)
     occupancy;
-  let time = call.Trace.time
+  let time = Trace.time call
   and src = call.Trace.src
   and dst = call.Trace.dst in
   Arnet_obs.Counters.emit t.counters
-    (Arnet_obs.Event.Arrival { time; src; dst; holding = call.Trace.holding });
+    (Arnet_obs.Event.Arrival { time; src; dst; holding = Trace.holding call });
   let routed_hops =
     match outcome with
     | Engine.Lost ->

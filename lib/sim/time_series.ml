@@ -18,10 +18,10 @@ let wrap t (policy : Engine.policy) =
     Engine.decide =
       (fun ~occupancy ~call ->
         let outcome = policy.Engine.decide ~occupancy ~call in
-        let bin =
-          Stdlib.min (bins - 1)
-            (int_of_float (call.Trace.time /. t.window))
-        in
+        (* the arrival instant read straight from the column: a call
+           to [Trace.time] would box the float on every decision *)
+        let time = call.Trace.trace.Trace.times.(call.Trace.index) in
+        let bin = Stdlib.min (bins - 1) (int_of_float (time /. t.window)) in
         if bin >= 0 then begin
           t.offered_bins.(bin) <- t.offered_bins.(bin) + 1;
           match outcome with

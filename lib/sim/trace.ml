@@ -1,6 +1,6 @@
 open Arnet_traffic
 
-type call = {
+type arrival = {
   time : float;
   src : int;
   dst : int;
@@ -9,7 +9,6 @@ type call = {
 }
 
 type t = {
-  calls : call array;
   times : float array;
   srcs : int array;
   dsts : int array;
@@ -20,27 +19,37 @@ type t = {
   matrix : Matrix.t;
 }
 
-(* every constructor funnels through [pack]: the packed columns are
-   filled from the record view in one pass, with the departure deadline
-   [time + holding] computed straight into its float array (never boxed) *)
-let pack ~duration ~matrix calls =
-  let n = Array.length calls in
-  let times = Array.make n 0. in
-  let holdings = Array.make n 0. in
-  let us = Array.make n 0. in
-  let ends = Array.make n 0. in
-  let srcs = Array.make n 0 in
-  let dsts = Array.make n 0 in
+type call = {
+  mutable src : int;
+  mutable dst : int;
+  mutable index : int;
+  trace : t;
+}
+
+let seek (c : call) i =
+  c.index <- i;
+  c.src <- c.trace.srcs.(i);
+  c.dst <- c.trace.dsts.(i)
+
+let cursor trace =
+  let c = { src = 0; dst = 0; index = 0; trace } in
+  if Array.length trace.times > 0 then seek c 0;
+  c
+
+let time (c : call) = c.trace.times.(c.index)
+let holding (c : call) = c.trace.holdings.(c.index)
+let u (c : call) = c.trace.us.(c.index)
+
+(* every constructor funnels through [columns]: the departure deadline
+   [time + holding] is computed straight into its float array (never
+   boxed) *)
+let columns ~duration ~matrix ~times ~srcs ~dsts ~holdings ~us =
+  let n = Array.length times in
+  let ends = Array.create_float n in
   for i = 0 to n - 1 do
-    let c = calls.(i) in
-    times.(i) <- c.time;
-    srcs.(i) <- c.src;
-    dsts.(i) <- c.dst;
-    holdings.(i) <- c.holding;
-    us.(i) <- c.u;
-    ends.(i) <- c.time +. c.holding
+    ends.(i) <- times.(i) +. holdings.(i)
   done;
-  { calls; times; srcs; dsts; holdings; us; ends; duration; matrix }
+  { times; srcs; dsts; holdings; us; ends; duration; matrix }
 
 let generate ?(mean_holding = 1.) ~rng ~duration matrix =
   if duration <= 0. then invalid_arg "Trace.generate: duration <= 0";
@@ -69,9 +78,9 @@ let generate ?(mean_holding = 1.) ~rng ~duration matrix =
     pairs.(!lo)
   in
   let holding_rate = 1. /. mean_holding in
-  (* generate straight into the SoA columns (amortised doubling); the
-     record view is derived once at the end.  The current time lives in
-     a one-element float array so the accumulator stays unboxed. *)
+  (* generate straight into the SoA columns (amortised doubling).  The
+     current time lives in a one-element float array so the accumulator
+     stays unboxed. *)
   let cap = ref 1024 in
   let times = ref (Array.make !cap 0.) in
   let holdings = ref (Array.make !cap 0.) in
@@ -105,29 +114,17 @@ let generate ?(mean_holding = 1.) ~rng ~duration matrix =
     t.(0) <- t.(0) +. Rng.exponential rng ~rate:total
   done;
   let n = !n in
-  let times = Array.sub !times 0 n in
-  let holdings = Array.sub !holdings 0 n in
-  let us = Array.sub !us 0 n in
-  let srcs = Array.sub !srcs 0 n in
-  let dsts = Array.sub !dsts 0 n in
-  let ends = Array.make n 0. in
-  for i = 0 to n - 1 do
-    ends.(i) <- times.(i) +. holdings.(i)
-  done;
-  let calls =
-    Array.init n (fun i ->
-        { time = times.(i);
-          src = srcs.(i);
-          dst = dsts.(i);
-          holding = holdings.(i);
-          u = us.(i) })
-  in
-  { calls; times; srcs; dsts; holdings; us; ends; duration; matrix }
+  columns ~duration ~matrix
+    ~times:(Array.sub !times 0 n)
+    ~srcs:(Array.sub !srcs 0 n)
+    ~dsts:(Array.sub !dsts 0 n)
+    ~holdings:(Array.sub !holdings 0 n)
+    ~us:(Array.sub !us 0 n)
 
-let of_calls ~matrix ~duration calls =
+let of_calls ~matrix ~duration (calls : arrival list) =
   if duration <= 0. then invalid_arg "Trace.of_calls: duration <= 0";
   let n = Matrix.nodes matrix in
-  let check prev c =
+  let check prev (c : arrival) =
     if c.time < prev then invalid_arg "Trace.of_calls: calls not sorted";
     if c.time < 0. || c.time >= duration then
       invalid_arg "Trace.of_calls: call outside [0, duration)";
@@ -139,48 +136,62 @@ let of_calls ~matrix ~duration calls =
     c.time
   in
   let (_ : float) = List.fold_left check 0. calls in
-  pack ~duration ~matrix (Array.of_list calls)
+  let calls = Array.of_list calls in
+  let column f = Array.map f calls in
+  columns ~duration ~matrix
+    ~times:(column (fun c -> c.time))
+    ~srcs:(column (fun c -> c.src))
+    ~dsts:(column (fun c -> c.dst))
+    ~holdings:(column (fun c -> c.holding))
+    ~us:(column (fun c -> c.u))
 
 let shift t dt =
   if dt < 0. || not (Float.is_finite dt) then
     invalid_arg "Trace.shift: negative shift";
-  pack ~duration:(t.duration +. dt) ~matrix:t.matrix
-    (Array.map (fun c -> { c with time = c.time +. dt }) t.calls)
+  columns ~duration:(t.duration +. dt) ~matrix:t.matrix
+    ~times:(Array.map (fun x -> x +. dt) t.times)
+    ~srcs:t.srcs ~dsts:t.dsts ~holdings:t.holdings ~us:t.us
 
+let call_count t = Array.length t.times
+
+(* a stable merge by arrival time (ties keep [a] first): mark each
+   output slot's source, then gather every column by the marks *)
 let merge a b =
   if Matrix.nodes a.matrix <> Matrix.nodes b.matrix then
     invalid_arg "Trace.merge: node count mismatch";
-  let na = Array.length a.calls and nb = Array.length b.calls in
-  let out = Array.make (na + nb) { time = 0.; src = 0; dst = 1; holding = 1.; u = 0. } in
+  let na = call_count a and nb = call_count b in
+  let n = na + nb in
+  let from_a = Array.make n false in
   let i = ref 0 and j = ref 0 in
-  for k = 0 to na + nb - 1 do
-    let take_a =
-      !j >= nb || (!i < na && a.calls.(!i).time <= b.calls.(!j).time)
-    in
-    if take_a then begin
-      out.(k) <- a.calls.(!i);
+  for k = 0 to n - 1 do
+    if !j >= nb || (!i < na && a.times.(!i) <= b.times.(!j)) then begin
+      from_a.(k) <- true;
       incr i
     end
-    else begin
-      out.(k) <- b.calls.(!j);
-      incr j
-    end
+    else incr j
   done;
-  pack
+  let pick col_a col_b =
+    let i = ref 0 and j = ref 0 in
+    Array.map
+      (fun take_a ->
+        if take_a then (incr i; col_a.(!i - 1)) else (incr j; col_b.(!j - 1)))
+      from_a
+  in
+  columns
     ~duration:(Float.max a.duration b.duration)
     ~matrix:(Matrix.add a.matrix b.matrix)
-    out
-
-let call_count t = Array.length t.calls
+    ~times:(pick a.times b.times) ~srcs:(pick a.srcs b.srcs)
+    ~dsts:(pick a.dsts b.dsts) ~holdings:(pick a.holdings b.holdings)
+    ~us:(pick a.us b.us)
 
 let offered_between t lo hi =
   Array.fold_left
-    (fun acc c -> if c.time >= lo && c.time < hi then acc + 1 else acc)
-    0 t.calls
+    (fun acc time -> if time >= lo && time < hi then acc + 1 else acc)
+    0 t.times
 
 let check_sorted t =
   let ok = ref true in
-  for i = 1 to Array.length t.calls - 1 do
-    if t.calls.(i).time < t.calls.(i - 1).time then ok := false
+  for i = 1 to call_count t - 1 do
+    if t.times.(i) < t.times.(i - 1) then ok := false
   done;
   !ok

@@ -196,10 +196,16 @@ let test_admission_validation () =
 
 let mk_call ?(u = 0.) time src dst holding = { Trace.time; src; dst; holding; u }
 
+(* the call a policy sees for a lone arrival: the cursor of a
+   one-call trace over [g]'s nodes *)
+let view_of g arrival =
+  let matrix = Matrix.uniform ~nodes:(Graph.node_count g) ~demand:1. in
+  Trace.cursor (Trace.of_calls ~matrix ~duration:10. [ arrival ])
+
 let test_controller_primary_for () =
   let g = Builders.full_mesh ~nodes:3 ~capacity:4 in
   let routes = Route_table.build g in
-  let call = mk_call 0. 0 1 1. in
+  let call = view_of g (mk_call 0. 0 1 1.) in
   (match Controller.primary_for routes Controller.Table call with
   | Some p -> Alcotest.(check (list int)) "table primary" [ 0; 1 ] (Path.nodes p)
   | None -> Alcotest.fail "primary expected");
@@ -222,7 +228,7 @@ let test_controller_decide () =
   in
   let admission = Admission.unprotected ~capacities in
   let occ = Array.make (Graph.link_count g) 0 in
-  let call = mk_call 0. 0 1 1. in
+  let call = view_of g (mk_call 0. 0 1 1.) in
   let decide occ allow =
     Controller.decide ~routes ~admission ~choice:Controller.Table
       ~allow_alternates:allow ~occupancy:occ call

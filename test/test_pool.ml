@@ -145,7 +145,7 @@ let test_odometer_concurrent_runs () =
         Trace.generate ~rng ~duration:30. matrix)
   in
   let total =
-    List.fold_left (fun acc t -> acc + Array.length t.Trace.calls) 0 traces
+    List.fold_left (fun acc t -> acc + Trace.call_count t) 0 traces
   in
   let before = Engine.calls_simulated () in
   ignore

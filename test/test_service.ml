@@ -352,25 +352,22 @@ let test_session_errors () =
 let replay st (trace : Trace.t) =
   let departures = Event_queue.create () in
   let accepted = ref 0 and blocked = ref 0 in
-  Array.iter
-    (fun (call : Trace.call) ->
-      Event_queue.pop_until departures ~time:call.Trace.time
-        ~f:(fun _ id ->
-          match State.teardown st ~id with
-          | Wire.Done -> ()
-          | r -> Alcotest.failf "teardown: %s" (Wire.print_response r));
-      match
-        State.setup st ~src:call.Trace.src ~dst:call.Trace.dst
-          ~time:(Some call.Trace.time)
-      with
-      | Wire.Admitted { id; _ } ->
-        incr accepted;
-        Event_queue.push departures
-          ~time:(call.Trace.time +. call.Trace.holding)
-          id
-      | Wire.Blocked -> incr blocked
-      | r -> Alcotest.failf "setup: %s" (Wire.print_response r))
-    trace.Trace.calls;
+  for i = 0 to Trace.call_count trace - 1 do
+    let time = trace.Trace.times.(i) in
+    Event_queue.pop_until departures ~time ~f:(fun _ id ->
+        match State.teardown st ~id with
+        | Wire.Done -> ()
+        | r -> Alcotest.failf "teardown: %s" (Wire.print_response r));
+    match
+      State.setup st ~src:trace.Trace.srcs.(i) ~dst:trace.Trace.dsts.(i)
+        ~time:(Some time)
+    with
+    | Wire.Admitted { id; _ } ->
+      incr accepted;
+      Event_queue.push_at departures ~times:trace.Trace.ends i id
+    | Wire.Blocked -> incr blocked
+    | r -> Alcotest.failf "setup: %s" (Wire.print_response r)
+  done;
   (!accepted, !blocked)
 
 let test_matches_batch_simulator () =
@@ -816,7 +813,7 @@ let test_socket_sharded_connections () =
 (* drive a trace over the socket in engine order, recording every
    response verbatim: the transcript *is* the run, so two identical
    transcripts mean decision-for-decision determinism *)
-let drive_transcript addr (calls : Trace.call array) =
+let drive_transcript addr (trace : Trace.t) =
   let ic, oc = Server.connect ~retry_for:5. addr in
   Fun.protect
     ~finally:(fun () ->
@@ -831,23 +828,21 @@ let drive_transcript addr (calls : Trace.call array) =
         Buffer.add_char log '\n';
         r
       in
-      Array.iter
-        (fun (call : Trace.call) ->
-          Event_queue.pop_until departures ~time:call.Trace.time
-            ~f:(fun _ id -> ignore (request (Wire.Teardown { id })));
-          match
-            request
-              (Wire.Setup
-                 { src = call.Trace.src;
-                   dst = call.Trace.dst;
-                   time = Some call.Trace.time })
-          with
-          | Wire.Admitted { id; _ } ->
-            Event_queue.push departures
-              ~time:(call.Trace.time +. call.Trace.holding)
-              id
-          | _ -> ())
-        calls;
+      for i = 0 to Trace.call_count trace - 1 do
+        let time = trace.Trace.times.(i) in
+        Event_queue.pop_until departures ~time ~f:(fun _ id ->
+            ignore (request (Wire.Teardown { id })));
+        match
+          request
+            (Wire.Setup
+               { src = trace.Trace.srcs.(i);
+                 dst = trace.Trace.dsts.(i);
+                 time = Some time })
+        with
+        | Wire.Admitted { id; _ } ->
+          Event_queue.push_at departures ~times:trace.Trace.ends i id
+        | _ -> ()
+      done;
       let rec flush () =
         match Event_queue.pop departures with
         | Some (_, id) ->
@@ -893,7 +888,7 @@ let test_socket_failure_storm () =
              ignore (ic : in_channel)
            with _ -> ());
           Thread.join server)
-        (fun () -> drive_transcript addr trace.Trace.calls)
+        (fun () -> drive_transcript addr trace)
     in
     (st, transcript)
   in

@@ -232,14 +232,17 @@ let test_trace_generation () =
   Alcotest.(check bool) "sorted" true (Trace.check_sorted trace);
   let n = Trace.call_count trace in
   Alcotest.(check bool) "call volume plausible" true (n > 5400 && n < 6600);
-  Array.iter
-    (fun c ->
-      Alcotest.(check bool) "within duration" true
-        (c.Trace.time >= 0. && c.Trace.time < 50.);
-      Alcotest.(check bool) "endpoints distinct" true (c.Trace.src <> c.Trace.dst);
-      Alcotest.(check bool) "holding positive" true (c.Trace.holding > 0.);
-      Alcotest.(check bool) "u in range" true (c.Trace.u >= 0. && c.Trace.u < 1.))
-    trace.Trace.calls
+  let c = Trace.cursor trace in
+  for i = 0 to n - 1 do
+    Trace.seek c i;
+    Alcotest.(check bool) "within duration" true
+      (Trace.time c >= 0. && Trace.time c < 50.);
+    Alcotest.(check bool) "endpoints distinct" true (c.Trace.src <> c.Trace.dst);
+    Alcotest.(check bool) "holding positive" true (Trace.holding c > 0.);
+    Alcotest.(check bool) "u in range" true (Trace.u c >= 0. && Trace.u c < 1.);
+    Alcotest.(check (float 0.)) "deadline column" trace.Trace.ends.(i)
+      (Trace.time c +. Trace.holding c)
+  done
 
 let test_trace_pair_frequencies () =
   let rng = Rng.create ~seed:6 in
@@ -249,13 +252,13 @@ let test_trace_pair_frequencies () =
   in
   let trace = Trace.generate ~rng ~duration:100. matrix in
   let count01 = ref 0 and count12 = ref 0 in
-  Array.iter
-    (fun c ->
-      match (c.Trace.src, c.Trace.dst) with
+  Array.iteri
+    (fun i src ->
+      match (src, trace.Trace.dsts.(i)) with
       | 0, 1 -> incr count01
       | 1, 2 -> incr count12
       | _ -> Alcotest.fail "unexpected pair")
-    trace.Trace.calls;
+    trace.Trace.srcs;
   feq_at 0.3 "3:1 split" 3.
     (float_of_int !count01 /. float_of_int !count12)
 
@@ -264,7 +267,7 @@ let test_trace_holding_mean () =
   let matrix = Matrix.uniform ~nodes:3 ~demand:20. in
   let trace = Trace.generate ~mean_holding:2. ~rng ~duration:100. matrix in
   let total =
-    Array.fold_left (fun acc c -> acc +. c.Trace.holding) 0. trace.Trace.calls
+    Array.fold_left ( +. ) 0. trace.Trace.holdings
   in
   feq_at 0.1 "mean holding" 2.
     (total /. float_of_int (Trace.call_count trace))
@@ -305,8 +308,30 @@ let test_trace_shift_merge () =
   let b = Trace.of_calls ~matrix ~duration:4. [ mk_call 2. 2 0 1. ] in
   let shifted = Trace.shift b 3. in
   Alcotest.(check (float 1e-12)) "shifted call time" 5.
-    shifted.Trace.calls.(0).Trace.time;
+    shifted.Trace.times.(0);
   Alcotest.(check (float 1e-12)) "shifted duration" 7. shifted.Trace.duration;
+  (* every arrival and every deadline moves by exactly [dt] (the values
+     are dyadic, so the sums are exact); the other columns are kept *)
+  let g =
+    Trace.generate ~rng:(Rng.create ~seed:11) ~duration:8.
+      (Matrix.uniform ~nodes:3 ~demand:2.)
+  in
+  let dt = 0.25 in
+  let gs = Trace.shift g dt in
+  Array.iteri
+    (fun i t ->
+      Alcotest.(check (float 0.)) "time moved by dt" (t +. dt)
+        gs.Trace.times.(i);
+      Alcotest.(check (float 0.)) "deadline is time + holding"
+        (gs.Trace.times.(i) +. g.Trace.holdings.(i))
+        gs.Trace.ends.(i))
+    g.Trace.times;
+  Alcotest.(check (array (float 0.))) "ends moved by exactly dt"
+    [| 6. |] shifted.Trace.ends;
+  Alcotest.(check (array int)) "sources kept" g.Trace.srcs gs.Trace.srcs;
+  Alcotest.(check (array (float 0.))) "holdings kept" g.Trace.holdings
+    gs.Trace.holdings;
+  Alcotest.(check (array (float 0.))) "variates kept" g.Trace.us gs.Trace.us;
   let merged = Trace.merge a shifted in
   Alcotest.(check int) "merged count" 3 (Trace.call_count merged);
   Alcotest.(check bool) "merged sorted" true (Trace.check_sorted merged);
@@ -329,8 +354,10 @@ let test_trace_shift_merge_edges () =
   in
   (* zero shift is the identity *)
   let z = Trace.shift a 0. in
-  Alcotest.(check (float 1e-12)) "zero shift keeps times" 1.
-    z.Trace.calls.(0).Trace.time;
+  Alcotest.(check (array (float 0.))) "zero shift keeps times"
+    a.Trace.times z.Trace.times;
+  Alcotest.(check (array (float 0.))) "zero shift keeps ends"
+    a.Trace.ends z.Trace.ends;
   Alcotest.(check (float 1e-12)) "zero shift keeps duration" 10.
     z.Trace.duration;
   Alcotest.(check int) "zero shift keeps count" (Trace.call_count a)
@@ -346,7 +373,15 @@ let test_trace_shift_merge_edges () =
   Alcotest.(check (float 1e-12)) "disjoint merge duration" 104.
     merged.Trace.duration;
   Alcotest.(check (float 1e-12)) "last call is the shifted one" 102.
-    merged.Trace.calls.(2).Trace.time;
+    merged.Trace.times.(2);
+  (* at equal instants the first argument's calls come first *)
+  let tie_a = Trace.of_calls ~matrix ~duration:10. [ mk_call 3. 0 1 1. ] in
+  let tie_b = Trace.of_calls ~matrix ~duration:10. [ mk_call 3. 1 2 2. ] in
+  let ab = Trace.merge tie_a tie_b and ba = Trace.merge tie_b tie_a in
+  Alcotest.(check (array int)) "a before b at a tie" [| 0; 1 |] ab.Trace.srcs;
+  Alcotest.(check (array int)) "b before a at a tie" [| 1; 0 |] ba.Trace.srcs;
+  Alcotest.(check (array (float 0.))) "ends follow their calls" [| 4.; 5. |]
+    ab.Trace.ends;
   (* merging in either order superposes the same summed matrix *)
   let m1 = Trace.merge a far and m2 = Trace.merge far a in
   Alcotest.(check (float 1e-12)) "summed matrix"
@@ -363,6 +398,132 @@ let test_trace_shift_merge_edges () =
     (Trace.call_count with_empty);
   Alcotest.(check (float 1e-12)) "empty merge keeps duration" 10.
     with_empty.Trace.duration
+
+(* random explicit workloads: a node count, sorted arrivals with
+   distinct endpoints, and a query window for [offered_between] *)
+let gen_arrivals =
+  QCheck2.Gen.(
+    let* nodes = int_range 2 6 in
+    let* raw =
+      list_size (int_range 0 40)
+        (tup5 (float_range 0. 99.) (int_range 0 (nodes - 1))
+           (int_range 0 (nodes - 2)) (float_range 0.01 10.)
+           (float_range 0. 0.999))
+    in
+    let* lo = float_range (-5.) 105. in
+    let+ width = float_range 0. 60. in
+    let arrivals =
+      List.sort compare raw
+      |> List.map (fun (time, src, d, holding, u) ->
+             let dst = if d >= src then d + 1 else d in
+             { Trace.time; src; dst; holding; u })
+    in
+    (nodes, arrivals, lo, lo +. width))
+
+let prop_trace_views =
+  QCheck2.Test.make ~count:200
+    ~name:"every trace index's view equals its of_calls arrival"
+    ~print:(fun (nodes, arrivals, lo, hi) ->
+      Printf.sprintf "%d nodes, %d arrivals, window [%g, %g)" nodes
+        (List.length arrivals) lo hi)
+    gen_arrivals
+    (fun (nodes, arrivals, lo, hi) ->
+      let matrix = Matrix.uniform ~nodes ~demand:1. in
+      let trace = Trace.of_calls ~matrix ~duration:100. arrivals in
+      let c = Trace.cursor trace in
+      List.iteri
+        (fun i (a : Trace.arrival) ->
+          Trace.seek c i;
+          if
+            not
+              (c.Trace.index = i && c.Trace.src = a.src && c.Trace.dst = a.dst
+              && Trace.time c = a.time && Trace.holding c = a.holding
+              && Trace.u c = a.u
+              && trace.Trace.ends.(i) = a.time +. a.holding)
+          then QCheck2.Test.fail_reportf "view %d differs from its arrival" i)
+        arrivals;
+      let naive = ref 0 in
+      Array.iter
+        (fun t -> if t >= lo && t < hi then incr naive)
+        trace.Trace.times;
+      Trace.call_count trace = List.length arrivals
+      && Trace.check_sorted trace
+      && Trace.offered_between trace lo hi = !naive)
+
+(* the columns are the only copy of the workload: six one-word entries
+   per call.  A per-call record coming back (the old record view held
+   ~13 more words a call) breaks the bound at once. *)
+let test_trace_memory_guard () =
+  let live () =
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live () in
+  let trace =
+    Trace.generate ~rng:(Rng.create ~seed:13) ~duration:850.
+      (Matrix.uniform ~nodes:4 ~demand:10.)
+  in
+  let after = live () in
+  let n = Trace.call_count trace in
+  Alcotest.(check bool) "about 100k calls" true (n > 90_000);
+  let per_call = float_of_int (after - before) /. float_of_int n in
+  if per_call > 7. then
+    Alcotest.failf "trace holds %.2f live words per call (bound 7)" per_call
+
+(* a policy that logs what [decide] sees must see exactly the trace's
+   columns, in arrival order, under both replay engines *)
+let test_trace_cursor_contract () =
+  let g = Builders.full_mesh ~nodes:4 ~capacity:3 in
+  let routes = Route_table.build g in
+  let matrix = Matrix.uniform ~nodes:4 ~demand:4. in
+  let trace = Trace.generate ~rng:(Rng.create ~seed:17) ~duration:30. matrix in
+  let n = Trace.call_count trace in
+  let expected =
+    List.init n (fun i ->
+        ( trace.Trace.srcs.(i),
+          trace.Trace.dsts.(i),
+          trace.Trace.times.(i),
+          trace.Trace.us.(i) ))
+  in
+  let log = ref [] and last = ref (-1) in
+  let see (call : Trace.call) =
+    last := call.Trace.index;
+    log := (call.Trace.src, call.Trace.dst, Trace.time call, Trace.u call) :: !log
+  in
+  (* route on the direct link while it has room, so [is_primary] is
+     asked too — always about the call just decided *)
+  let route ~occupancy (call : Trace.call) =
+    let p = Route_table.primary routes ~src:call.Trace.src ~dst:call.Trace.dst in
+    let free k = occupancy.(k) < 3 in
+    if Array.for_all free p.Path.link_ids then Engine.Routed p else Engine.Lost
+  in
+  let is_primary ~(call : Trace.call) _ =
+    Alcotest.(check int) "is_primary sees the decided call" !last
+      call.Trace.index;
+    true
+  in
+  let check_log name =
+    Alcotest.(check int) (name ^ ": one decide per call") n (List.length !log);
+    Alcotest.(check bool) (name ^ ": views equal the columns") true
+      (List.rev !log = expected);
+    log := []
+  in
+  let policy =
+    { Engine.name = "logging";
+      decide = (fun ~occupancy ~call -> see call; route ~occupancy call);
+      is_primary }
+  in
+  ignore (Engine.run ~warmup:0. ~graph:g ~policy trace : Stats.t);
+  check_log "Engine.run";
+  let module Fe = Arnet_failure.Failure_engine in
+  let fe_policy =
+    { Fe.name = "logging";
+      decide = (fun ~occupancy ~alive:_ ~call -> see call; route ~occupancy call);
+      is_primary;
+      primary_of = (fun ~call:_ -> None) }
+  in
+  ignore (Fe.run ~warmup:0. ~graph:g ~policy:fe_policy trace : Fe.stats);
+  check_log "Failure_engine.run"
 
 (* ------------------------------------------------------------------ *)
 (* Stats *)
@@ -621,7 +782,11 @@ let () =
           Alcotest.test_case "of_calls" `Quick test_trace_of_calls;
           Alcotest.test_case "shift/merge" `Quick test_trace_shift_merge;
           Alcotest.test_case "shift/merge edge cases" `Quick
-            test_trace_shift_merge_edges ] );
+            test_trace_shift_merge_edges;
+          QCheck_alcotest.to_alcotest prop_trace_views;
+          Alcotest.test_case "memory guard" `Quick test_trace_memory_guard;
+          Alcotest.test_case "cursor contract" `Quick
+            test_trace_cursor_contract ] );
       ( "stats",
         [ Alcotest.test_case "counters" `Quick test_stats_counters;
           Alcotest.test_case "merge" `Quick test_stats_merge;
