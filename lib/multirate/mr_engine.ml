@@ -30,8 +30,8 @@ let run ?(warmup = 10.) ~graph ~workload ~policy ~duration
     invalid_arg "Mr_engine.run: warmup must be in [0, duration)";
   if Mr_trace.nodes workload <> Graph.node_count graph then
     invalid_arg "Mr_engine.run: workload/graph size mismatch";
-  let calls = trace.Mr_trace.calls in
-  let times = trace.Mr_trace.times and ends = trace.Mr_trace.ends in
+  let { Mr_trace.times; ends; class_indices; _ } = trace in
+  let calls = Mr_trace.call_count trace in
   let classes = workload.Mr_trace.classes in
   let nc = Array.length classes in
   let n = Graph.node_count graph in
@@ -43,7 +43,7 @@ let run ?(warmup = 10.) ~graph ~workload ~policy ~duration
   in
   let occupancy = Array.make m 0 in
   let departures : int Event_queue.t = Event_queue.create () in
-  let admitted = Array.make (max 1 (Array.length calls)) [||] in
+  let admitted = Array.make (max 1 calls) [||] in
   let offered = Array.make nc 0 and blocked = Array.make nc 0 in
   let carried_alternate = ref 0 in
   let offered_bw = ref 0 and blocked_bw = ref 0 in
@@ -73,7 +73,7 @@ let run ?(warmup = 10.) ~graph ~workload ~policy ~duration
   in
   let release j =
     let ids = admitted.(j) in
-    let bandwidth = class_bw.((Array.unsafe_get calls j).Mr_trace.class_index) in
+    let bandwidth = class_bw.(class_indices.(j)) in
     release_ids ids bandwidth 0;
     admitted.(j) <- [||]  (* drop the alias once the call departs *)
   in
@@ -88,13 +88,16 @@ let run ?(warmup = 10.) ~graph ~workload ~policy ~duration
       occupy ids bandwidth (i + 1)
     end
   in
-  let handle i (call : Mr_trace.call) =
+  (* one cursor per run, moved to each arrival by [Mr_trace.seek] *)
+  let call = Mr_trace.cursor trace in
+  let handle i =
+    Mr_trace.seek call i;
     while Event_queue.next_due departures ~deadlines:times i do
       release (Event_queue.pop_payload departures)
     done;
     let ci = call.Mr_trace.class_index in
     let bandwidth = Array.unsafe_get class_bw ci in
-    let measured = call.Mr_trace.time >= warmup in
+    let measured = times.(i) >= warmup in
     if measured then begin
       offered.(ci) <- offered.(ci) + 1;
       offered_bw := !offered_bw + bandwidth
@@ -116,7 +119,9 @@ let run ?(warmup = 10.) ~graph ~workload ~policy ~duration
         && Path.hops p > primary_hops call.Mr_trace.src call.Mr_trace.dst
       then incr carried_alternate
   in
-  Array.iteri handle calls;
+  for i = 0 to calls - 1 do
+    handle i
+  done;
   { offered;
     blocked;
     carried_alternate = !carried_alternate;

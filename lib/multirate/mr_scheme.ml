@@ -41,7 +41,7 @@ let path_fits ~capacities ~occupancy ~headroom p bandwidth =
 let make_policy ~name ~allow_alternates ~reserves routes workload =
   let capacities = capacities_of routes in
   let zero = Array.make (Array.length capacities) 0 in
-  let decide ~occupancy ~call =
+  let decide ~occupancy ~(call : Mr_trace.call) =
     let src = call.Mr_trace.src and dst = call.Mr_trace.dst in
     if not (Route_table.has_route routes ~src ~dst) then Mr_engine.Lost
     else begin

@@ -25,7 +25,7 @@ let offered_bandwidth w =
     w.classes;
   !acc
 
-type call = {
+type arrival = {
   time : float;
   src : int;
   dst : int;
@@ -35,24 +35,56 @@ type call = {
 }
 
 type t = {
-  calls : call array;
   times : float array;
+  srcs : int array;
+  dsts : int array;
+  holdings : float array;
+  class_indices : int array;
+  us : float array;
   ends : float array;
 }
 
-let of_calls calls =
-  let n = Array.length calls in
-  let times = Array.make n 0. and ends = Array.make n 0. in
+type call = {
+  mutable src : int;
+  mutable dst : int;
+  mutable class_index : int;
+  mutable index : int;
+  trace : t;
+}
+
+let seek (c : call) i =
+  c.index <- i;
+  c.src <- c.trace.srcs.(i);
+  c.dst <- c.trace.dsts.(i);
+  c.class_index <- c.trace.class_indices.(i)
+
+let cursor trace =
+  let c = { src = 0; dst = 0; class_index = 0; index = 0; trace } in
+  if Array.length trace.times > 0 then seek c 0;
+  c
+
+let call_count t = Array.length t.times
+
+let of_calls (calls : arrival array) =
   let prev = ref neg_infinity in
-  Array.iteri
-    (fun i c ->
+  Array.iter
+    (fun (c : arrival) ->
       if c.time < !prev then
         invalid_arg "Mr_trace.of_calls: calls not sorted by time";
-      prev := c.time;
-      times.(i) <- c.time;
-      ends.(i) <- c.time +. c.holding)
+      prev := c.time)
     calls;
-  { calls; times; ends }
+  let column f = Array.map f calls in
+  let times = column (fun c -> c.time)
+  and holdings = column (fun c -> c.holding) in
+  let ends = Array.create_float (Array.length calls) in
+  Array.iteri (fun i time -> ends.(i) <- time +. holdings.(i)) times;
+  { times;
+    srcs = column (fun c -> c.src);
+    dsts = column (fun c -> c.dst);
+    holdings;
+    class_indices = column (fun c -> c.class_index);
+    us = column (fun c -> c.u);
+    ends }
 
 let generate ~rng ~duration w =
   if duration <= 0. then invalid_arg "Mr_trace.generate: bad duration";
